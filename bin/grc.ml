@@ -130,12 +130,12 @@ let hi_arg =
 
 let branch_arg =
   let doc =
-    "Branch & bound strategy: $(b,most-fractional) (historical default), \
-     $(b,violation), $(b,dual-guided) (rank branching and refinement \
-     candidates by accumulated |dual| column sensitivity) or \
-     $(b,dy-partition) (additionally split distance-variable intervals at \
-     their LP point).  Certified eps is identical across strategies; only \
-     node counts differ."
+    "Branch & bound strategy: $(b,most-fractional) (default: the most \
+     fractional integer in MILP, the most-violated ReLU in the \
+     Reluplex-style splitter) or $(b,dual-guided) (rank branching and \
+     refinement candidates by accumulated |dual| column sensitivity).  \
+     Certified eps is identical across strategies; only node counts \
+     differ."
   in
   Arg.(value
        & opt

@@ -96,13 +96,12 @@ let certify ?(config = default_config) ?pool ?solve_hook net ~input ~delta =
   in
   (* cross-layer dual-sensitivity accumulator: layer i's solves inform
      the refinement selection of every later layer's cones.  Allocated
-     only under the guided strategies, so the default path plans (and
+     only under the dual-guided rule, so the default path plans (and
      certifies) bit-identically to before. *)
   let dual_sens =
     match config.branch with
-    | Search.Strategy.Dual_guided | Search.Strategy.Dy_partition ->
-        Some (Hashtbl.create 64)
-    | Search.Strategy.Most_fractional | Search.Strategy.Violation -> None
+    | Search.Strategy.Dual_guided -> Some (Hashtbl.create 64)
+    | Search.Strategy.Most_fractional -> None
   in
   let pconfig =
     { Planner.window = config.window; refine = config.refine;

@@ -66,13 +66,11 @@ type config = {
   branch : Search.Strategy.t;
       (** branch & bound / refinement strategy, threaded into every
           MILP sub-solve and into {!Refine.select}.  [Most_fractional]
-          (default) and [Violation] reproduce the historical behaviour
-          bit for bit.  [Dual_guided] ranks branching and refinement
-          candidates by accumulated |dual| column sensitivity;
-          [Dy_partition] additionally allows splitting distance-variable
-          intervals at their LP point.  Certified eps is unchanged
-          across strategies (searches run to proven optimality); only
-          the node counts differ. *)
+          (default) reproduces the historical behaviour bit for bit.
+          [Dual_guided] ranks branching and refinement candidates by
+          accumulated |dual| column sensitivity.  Certified eps is
+          unchanged across strategies (searches run to proven
+          optimality); only the node counts differ. *)
 }
 
 val default_config : config

@@ -97,11 +97,6 @@ type btne_enc = {
   split_b : (int * int, relu_split) Hashtbl.t;
   input_a : (int * Lp.Model.var) list;  (** window-input neuron id -> var *)
   input_b : (int * Lp.Model.var) list;
-  dist_vars : (int * Lp.Model.var) list;
-      (** window-input neuron id -> input-distance link variable [d]
-          (with [x_b - x_a - d = 0]), in [input_active] order; empty
-          unless [link_input_dist] was set.  These are the continuous
-          variables eligible for interval-partition branching. *)
 }
 
 val btne :

@@ -25,9 +25,8 @@ val global_btne :
     layer, neuron) to a phase proven over the whole input box (e.g.
     {!Symbolic_back.analysis.stable}); those ReLUs are encoded as
     linear rows in both copies instead of binaries, leaving the optimum
-    unchanged.  [branch] overrides [milp_options]'s branching strategy
-    (the input-distance link variables are passed as interval-partition
-    candidates, used under [Dy_partition]). *)
+    unchanged.  [branch] overrides [milp_options]'s branching
+    strategy. *)
 
 val global_itne :
   ?milp_options:Milp.options -> ?presolve:bool ->

@@ -40,13 +40,11 @@ type config = {
           ({!Plan.t.symbolic_seeded}).  [None] reproduces the
           unassisted plans bit for bit. *)
   branch : Search.Strategy.t;
-      (** branching/refinement strategy.  Under [Dual_guided] and
-          [Dy_partition] the planner (a) weights {!Refine.select} by
-          the accumulated [dual_sens] and (b) attaches dual-sensitivity
-          probes to each emitted task; [Dy_partition] additionally
-          marks the window-input distance variables as MILP
-          interval-branching candidates.  [Most_fractional] (the
-          default) and [Violation] plan exactly as before. *)
+      (** branching/refinement strategy.  Under [Dual_guided] the
+          planner (a) weights {!Refine.select} by the accumulated
+          [dual_sens] and (b) attaches dual-sensitivity probes to each
+          emitted task.  [Most_fractional] (the default) plans without
+          either. *)
   dual_sens : (int * int, float) Hashtbl.t option;
       (** accumulated |dual| column sensitivities per (absolute layer,
           neuron), folded by the certifier from earlier layers'

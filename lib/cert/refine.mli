@@ -28,11 +28,11 @@ val select :
 (** Top [r] candidates (absolute layer, neuron) by {!neuron_score},
     dropping zero-score neurons.
 
-    Under [strategy] [Dual_guided] or [Dy_partition] with a [sens]
+    Under [strategy] [Dual_guided] with a [sens]
     table (accumulated |dual| column sensitivities from earlier layers'
     solves, see {!Plan.Executor.outcome.dual_sens}), each static score
     is weighted by [1 + sensitivity]: among equally-inaccurate
     relaxations, the ones the solver actually leaned on are refined
     first.  Zero-score (stable) neurons are never selected regardless
-    of sensitivity; other strategies, or a missing table, reduce to the
+    of sensitivity; [Most_fractional], or a missing table, reduces to the
     static paper scoring. *)

@@ -45,9 +45,8 @@ val global :
     directional searches gets an equal slice, so an expensive early
     output cannot starve the later ones.
 
-    [branch] (default [Violation], the historical rule): [Dual_guided]
-    weights each candidate split's violation by its slack column's
-    |dual| sensitivity; [Dy_partition] additionally considers splitting
-    an input-distance interval at its LP point.  Every strategy explores
-    until exhaustion, so the certified eps is unchanged — only the tree
-    shape (node count) is. *)
+    [branch] (default [Most_fractional]): the baseline rule splits the
+    most-violated ReLU; [Dual_guided] weights each candidate split's
+    violation by its slack column's |dual| sensitivity.  Every strategy
+    explores until exhaustion, so the certified eps is unchanged — only
+    the tree shape (node count) is. *)

@@ -12,28 +12,18 @@ type result = {
 type options = {
   max_nodes : int;
   time_limit : float;
-  int_tol : float;
-  gap_abs : float;
   branch : Search.Strategy.t;
 }
 
-(* [gap_abs] defaults to 0: any positive pruning slack makes the final
-   incumbent depend on which near-tied assignment the exploration order
-   reached first, and the certified bounds must be a function of the
-   problem, not of the branching strategy (see the canonical incumbent
-   acceptance below).  Callers who want faster approximate solves can
-   still set a positive gap. *)
 let default_options =
-  { max_nodes = 200_000; time_limit = infinity; int_tol = 1e-6;
-    gap_abs = 0.0; branch = Search.Strategy.Most_fractional }
+  { max_nodes = 200_000; time_limit = infinity;
+    branch = Search.Strategy.Most_fractional }
 
 let m_solves = Obs.Metrics.counter "milp.solves"
 let m_nodes = Obs.Metrics.counter "milp.nodes"
 let m_incumbents = Obs.Metrics.counter "milp.incumbents"
 
-(* An interval split below this width cannot meaningfully tighten the
-   relaxation; partition branching falls back to the discrete rule. *)
-let partition_min_width = 1e-6
+let int_tol = 1e-6
 
 (* Exploration slack: a node is pruned only when its relaxation bound
    exceeds the incumbent by more than this.  Warm node bounds agree
@@ -42,15 +32,10 @@ let partition_min_width = 1e-6
    order — whether a last-bits-better assignment is ever considered;
    with a slack far above the noise floor, every assignment within it
    is considered under every strategy and the reported optimum is a
-   function of the problem alone. *)
+   function of the problem alone.  Pruning carries no further gap: any
+   wider slack would let the exploration order pick among near-tied
+   assignments. *)
 let tie_slack = 1e-9
-
-(* Interval splits per root-to-node path.  Unlike integer branching,
-   partition branching is not self-limiting (each child can split
-   again), so without a cap the tree degenerates into an exponential
-   subdivision of the continuous box; after this many splits on a path
-   only the discrete rule fires, which terminates. *)
-let partition_max_splits = 4
 
 (* Audit-mode incumbent check: the claimed MILP solution must satisfy
    the original model's rows and bounds, be integral on the marked
@@ -82,8 +67,7 @@ let audit_incumbent ?objective model (r : result) =
       Audit_core.Mode.report (diags @ int_diags)
   | _ -> ()
 
-let solve_inner ?(options = default_options) ?objective ?bounds
-    ?(partition = [||]) model =
+let solve_inner ?(options = default_options) ?objective ?bounds model =
   let cp = Lp.Simplex.compile model in
   let n = Lp.Simplex.n_struct cp in
   (* one persistent solver session: each node's LP warm-starts from the
@@ -111,8 +95,8 @@ let solve_inner ?(options = default_options) ?objective ?bounds
   (* round integer bounds inward *)
   Array.iter
     (fun j ->
-      root_lo.(j) <- Float.ceil (root_lo.(j) -. options.int_tol);
-      root_hi.(j) <- Float.floor (root_hi.(j) +. options.int_tol))
+      root_lo.(j) <- Float.ceil (root_lo.(j) -. int_tol);
+      root_hi.(j) <- Float.floor (root_hi.(j) +. int_tol))
     ints;
   Lp.Simplex.set_bounds session ~lo:root_lo ~hi:root_hi;
   (* the search core moves the session between nodes by bound deltas;
@@ -124,8 +108,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
     cur_hi.(j) <- hi;
     Lp.Simplex.set_var_bounds session j ~lo ~hi
   in
-  (* node tag: interval-partition splits on the path from the root *)
-  let root = Search.Node.root 0 in
+  let root = Search.Node.root () in
   let cursor = Search.Cursor.create ~set ~root_lo ~root_hi root in
   let frontier = Search.Frontier.best_first () in
   Search.Frontier.push frontier root;
@@ -136,12 +119,10 @@ let solve_inner ?(options = default_options) ?objective ?bounds
   let lp_failed = ref false in
   let unbounded = ref false in
   let t0 = Unix.gettimeofday () in
-  (* |dual|-weighted column sensitivities for the guided strategies;
+  (* |dual|-weighted column sensitivities for the dual-guided rule;
      built lazily so the default rule never pays for it *)
   let columns =
-    lazy
-      (Search.Strategy.Columns.make model
-         ~vars:(Array.append ints partition))
+    lazy (Search.Strategy.Columns.make model ~vars:ints)
   in
   let accept_incumbent key x =
     best_key := key;
@@ -243,25 +224,25 @@ let solve_inner ?(options = default_options) ?objective ?bounds
     end
   in
   let heuristic_period = 20 in
-  (* Discrete branching candidate: the fractional integer chosen by the
-     strategy.  The guided rules weight each candidate's distance from
-     integrality by its |dual| column sensitivity; a zero-information
-     dual vector degrades to the most-fractional rule. *)
+  (* Branching candidate: the fractional integer chosen by the strategy
+     ([-1] when the solution is integral).  The dual-guided rule weights
+     each candidate's distance from integrality by its |dual| column
+     sensitivity; a zero-information dual vector degrades to the
+     most-fractional rule. *)
   let pick_int_var (sol : Lp.Simplex.solution) =
     let best_j = ref (-1) and best_frac = ref 0.0 in
     Array.iter
       (fun j ->
         let v = sol.Lp.Simplex.x.(j) in
         let f = Float.abs (v -. Float.round v) in
-        if f > options.int_tol && f > !best_frac then begin
+        if f > int_tol && f > !best_frac then begin
           best_j := j;
           best_frac := f
         end)
       ints;
     match options.branch with
-    | Search.Strategy.Most_fractional | Search.Strategy.Violation ->
-        (!best_j, !best_frac)
-    | Search.Strategy.Dual_guided | Search.Strategy.Dy_partition ->
+    | Search.Strategy.Most_fractional -> !best_j
+    | Search.Strategy.Dual_guided ->
         let cols = Lazy.force columns in
         let duals = sol.Lp.Simplex.duals in
         let guided_j = ref (-1) and guided_score = ref 0.0 in
@@ -269,7 +250,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
           (fun j ->
             let v = sol.Lp.Simplex.x.(j) in
             let f = Float.abs (v -. Float.round v) in
-            if f > options.int_tol then begin
+            if f > int_tol then begin
               let s =
                 f *. Search.Strategy.Columns.sensitivity cols ~duals j
               in
@@ -279,35 +260,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
               end
             end)
           ints;
-        if !guided_j >= 0 then (!guided_j, !guided_score)
-        else (!best_j, !best_frac)
-  in
-  (* Interval-partition candidate (Dy_partition only): the designated
-     continuous variable whose width x |dual| sensitivity is largest.
-     Splitting its interval at the LP point is sound — the two child
-     boxes cover the node box — and tightens the big-M / chord
-     relaxations through the variable bounds. *)
-  let pick_partition_var (sol : Lp.Simplex.solution) =
-    if Array.length partition = 0 then None
-    else begin
-      let cols = Lazy.force columns in
-      let duals = sol.Lp.Simplex.duals in
-      let best = ref None and best_score = ref 0.0 in
-      Array.iter
-        (fun v ->
-          let w = cur_hi.(v) -. cur_lo.(v) in
-          if w > partition_min_width then begin
-            let s = w *. Search.Strategy.Columns.sensitivity cols ~duals v in
-            if s > !best_score then begin
-              best := Some v;
-              best_score := s
-            end
-          end)
-        partition;
-      match !best with
-      | None -> None
-      | Some v -> Some (v, !best_score)
-    end
+        if !guided_j >= 0 then !guided_j else !best_j
   in
   let visit node =
     Search.Cursor.goto cursor node;
@@ -324,51 +277,25 @@ let solve_inner ?(options = default_options) ?objective ?bounds
         if sstats.Search.nodes mod heuristic_period = 1 then
           try_rounding sol.Lp.Simplex.x;
         let key = to_key sol.Lp.Simplex.obj in
-        if key >= !best_key +. tie_slack -. options.gap_abs then
-          Search.Expand []
+        if key >= !best_key +. tie_slack then Search.Expand []
         else begin
-          let expand_branch (bsol : Lp.Simplex.solution) j int_score =
-            let split_interval v point =
-              let lo = cur_lo.(v) and hi = cur_hi.(v) in
-              let w = hi -. lo in
-              (* clamp the split point into the interval's middle 60%
-                 so both children shrink geometrically *)
-              let pt = Float.max (lo +. (0.2 *. w))
-                  (Float.min (hi -. (0.2 *. w)) point) in
-              let tag = Search.Node.tag node + 1 in
-              [ Search.Node.child node ~tag ~delta:[ (v, lo, pt) ] ~key;
-                Search.Node.child node ~tag ~delta:[ (v, pt, hi) ] ~key ]
-            in
-            let branch_int () =
-              let v = bsol.Lp.Simplex.x.(j) in
-              let lo = cur_lo.(j) and hi = cur_hi.(j) in
-              let down_hi = Float.floor v and up_lo = Float.ceil v in
-              let tag = Search.Node.tag node in
-              let children = ref [] in
-              if up_lo <= hi then
-                children :=
-                  Search.Node.child node ~tag
-                    ~delta:[ (j, up_lo, hi) ]
-                    ~key
-                  :: !children;
-              if lo <= down_hi then
-                children :=
-                  Search.Node.child node ~tag
-                    ~delta:[ (j, lo, down_hi) ]
-                    ~key
-                  :: !children;
-              !children
-            in
-            match options.branch with
-            | Search.Strategy.Dy_partition
-              when Search.Node.tag node < partition_max_splits -> (
-                match pick_partition_var bsol with
-                | Some (v, score) when score > int_score ->
-                    Search.Expand (split_interval v bsol.Lp.Simplex.x.(v))
-                | _ -> Search.Expand (branch_int ()))
-            | _ -> Search.Expand (branch_int ())
+          let expand_branch (bsol : Lp.Simplex.solution) j =
+            let v = bsol.Lp.Simplex.x.(j) in
+            let lo = cur_lo.(j) and hi = cur_hi.(j) in
+            let down_hi = Float.floor v and up_lo = Float.ceil v in
+            let children = ref [] in
+            if up_lo <= hi then
+              children :=
+                Search.Node.child node ~tag:() ~delta:[ (j, up_lo, hi) ] ~key
+                :: !children;
+            if lo <= down_hi then
+              children :=
+                Search.Node.child node ~tag:() ~delta:[ (j, lo, down_hi) ]
+                  ~key
+                :: !children;
+            Search.Expand !children
           in
-          let j, int_score = pick_int_var sol in
+          let j = pick_int_var sol in
           if j < 0 then begin
             (* integral: candidate incumbent.  Pure LPs skip the
                canonical re-solve — there is no assignment to pin, the
@@ -399,7 +326,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
               resolve_pivots := !resolve_pivots + cold.Lp.Simplex.pivots;
               match cold.Lp.Simplex.status with
               | Lp.Simplex.Optimal ->
-                  let jc, int_score_c = pick_int_var cold in
+                  let jc = pick_int_var cold in
                   if jc < 0 then begin
                     ignore
                       (consider_assignment
@@ -408,7 +335,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
                        : float option);
                     Search.Expand []
                   end
-                  else expand_branch cold jc int_score_c
+                  else expand_branch cold jc
               | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded
               | Lp.Simplex.Iteration_limit ->
                   (* a solver artefact: the warm solve already proved
@@ -416,7 +343,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
                   Search.Expand []
             end
           end
-          else expand_branch sol j int_score
+          else expand_branch sol j
         end
   in
   let deadline =
@@ -427,7 +354,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
      budget leaves them in place) *)
   let stop =
     Search.run ~span:"milp.node"
-      ~prune:(fun key -> key >= !best_key +. tie_slack -. options.gap_abs)
+      ~prune:(fun key -> key >= !best_key +. tie_slack)
       ~halt_on_prune:true
       ~limits:{ Search.max_nodes = options.max_nodes; deadline }
       ~stats:sstats ~frontier ~visit ()
@@ -489,7 +416,7 @@ let solve_inner ?(options = default_options) ?objective ?bounds
   let heap_key = Search.Frontier.min_key frontier in
   let exhausted =
     Search.Frontier.is_empty frontier
-    || heap_key >= !best_key +. tie_slack -. options.gap_abs
+    || heap_key >= !best_key +. tie_slack
   in
   let proven_key = Float.min !best_key heap_key in
   let incumbent_obj = if !have_incumbent then of_key !best_key else nan in
@@ -519,9 +446,9 @@ let solve_inner ?(options = default_options) ?objective ?bounds
   if Audit_core.Mode.enabled () then audit_incumbent ?objective model result;
   result
 
-let solve ?options ?objective ?bounds ?partition model =
+let solve ?options ?objective ?bounds model =
   Obs.Trace.with_span "milp.solve" (fun () ->
-      let r = solve_inner ?options ?objective ?bounds ?partition model in
+      let r = solve_inner ?options ?objective ?bounds model in
       Obs.Metrics.add m_solves 1;
       Obs.Metrics.add m_nodes r.nodes;
       Obs.Trace.count "nodes" r.nodes;

@@ -5,9 +5,10 @@
     the shared {!Search} core (best-bound-first frontier, bound-delta
     nodes, one warm-started solver session).  Branching is pluggable via
     {!Search.Strategy}: the default picks the most fractional integer;
-    [Dual_guided] weights candidates by their |dual| column sensitivity;
-    [Dy_partition] may instead split a designated continuous variable's
-    interval at its LP point (see [solve]'s [partition]).
+    [Dual_guided] weights candidates by their |dual| column sensitivity.
+    Integrality is tested to a fixed tolerance of [1e-6], and pruning
+    carries no gap beyond solver noise, so the certified optimum does
+    not depend on the branching rule.
 
     Certification note: for a maximisation query, [bound] is always a
     sound upper bound on the true optimum, even when the search stops
@@ -33,16 +34,8 @@ type result = {
 type options = {
   max_nodes : int;
   time_limit : float;     (** seconds; [infinity] = none *)
-  int_tol : float;        (** integrality tolerance *)
-  gap_abs : float;        (** pruning slack: stop when bound - incumbent
-                              is below this.  Default 0 — a positive gap
-                              trades exactness (and the strategy-
-                              independence of the certified value) for
-                              speed *)
   branch : Search.Strategy.t;  (** branching rule; default
-                                   [Most_fractional] ([Violation] is
-                                   treated the same here — it is the
-                                   Reluplex-style rule) *)
+                                   [Most_fractional] *)
 }
 
 val default_options : options
@@ -51,20 +44,13 @@ val solve :
   ?options:options ->
   ?objective:Lp.Model.dir * (int * float) list ->
   ?bounds:float array * float array ->
-  ?partition:int array ->
   Lp.Model.t -> result
 (** [objective] overrides the model's objective (constant term 0),
     allowing one model to serve many bound queries.  [bounds] replaces
     the structural root bounds (arrays of length [n_vars]; integer
     bounds are still rounded inward afterwards), allowing one model to
     be replayed under different input intervals — e.g. a deduplicated
-    certification cone.  [partition] lists continuous variables eligible
-    for interval-partition branching (used only under
-    {!Search.Strategy.Dy_partition}): when such a variable's
-    width x |dual| sensitivity beats every fractional integer's score,
-    the node splits that variable's interval at its LP point instead of
-    branching on an integer.  The resulting certified optimum is
-    unchanged — only the tree shape is. *)
+    certification cone. *)
 
 val fixing_bounds :
   Lp.Model.t -> (Lp.Model.var * float) list -> float array * float array

@@ -46,10 +46,6 @@ type task = {
           measures how strongly that neuron's relaxation binds the
           task's LP optima.  Empty unless the planner runs dual-guided
           refinement. *)
-  partition : Lp.Model.var array;
-      (** continuous variables eligible for interval-partition
-          branching when the task is solved by MILP (see
-          {!Milp.solve}); empty otherwise *)
 }
 
 type unit_of_work = {
@@ -88,13 +84,10 @@ val add_affine : builder -> affine -> unit
 
 val add_task :
   ?probes:((int * int) * Lp.Model.var) array ->
-  ?partition:Lp.Model.var array ->
   builder -> label:string -> signature:string -> Lp.Model.t -> int
 (** Registers an encoded model; returns its [task_id].  The [integer]
     flag is derived from the model's integrality marks.  [probes]
-    (default empty) requests per-neuron dual-sensitivity accumulation;
-    [partition] (default empty) marks interval-partition branching
-    candidates for MILP tasks. *)
+    (default empty) requests per-neuron dual-sensitivity accumulation. *)
 
 val add_unit :
   ?dedup:bool ->

@@ -1,19 +1,15 @@
 module Strategy = struct
-  type t = Most_fractional | Violation | Dual_guided | Dy_partition
+  type t = Most_fractional | Dual_guided
 
-  let all = [ Most_fractional; Violation; Dual_guided; Dy_partition ]
+  let all = [ Most_fractional; Dual_guided ]
 
   let to_string = function
     | Most_fractional -> "most-fractional"
-    | Violation -> "violation"
     | Dual_guided -> "dual-guided"
-    | Dy_partition -> "dy-partition"
 
   let of_string = function
     | "most-fractional" | "most_fractional" -> Some Most_fractional
-    | "violation" -> Some Violation
     | "dual-guided" | "dual_guided" -> Some Dual_guided
-    | "dy-partition" | "dy_partition" -> Some Dy_partition
     | _ -> None
 
   module Columns = struct

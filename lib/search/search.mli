@@ -17,8 +17,8 @@
       enforced here;
     - {!Frontier}: best-first (min-heap on the node key) and DFS
       (explicit stack, no recursion) orders behind one interface;
-    - {!Strategy}: pluggable branching rules, including the
-      dual-guided scoring shared with [Cert.Refine];
+    - {!Strategy}: the two branching rules (the most-fractional
+      baseline and the dual-guided scoring shared with [Cert.Refine]);
     - {!run}: the driver loop with node/deadline budgets, pruning and
       incumbent bookkeeping, instrumented with [Obs] spans and the
       [search.nodes] / [search.prunes] / [search.incumbents] metrics.
@@ -30,26 +30,19 @@
 module Strategy : sig
   type t =
     | Most_fractional
-        (** branch on the integer variable farthest from integrality
-            (the classic rule; [Milp]'s historical default) *)
-    | Violation
-        (** branch on the constraint-violation maximiser (the
-            Reluplex-style rule: worst ReLU violation) *)
+        (** the baseline: branch on the candidate farthest from
+            feasibility — in [Milp] the integer farthest from
+            integrality, in the Reluplex-style splitter the ReLU with
+            the largest violation *)
     | Dual_guided
         (** rank candidates by |dual| x relaxation gap, using the node
             LP's row duals to weight each candidate by how strongly its
             relaxation rows bind the current optimum *)
-    | Dy_partition
-        (** additionally consider splitting a designated continuous
-            variable's interval at its LP point (partition branching on
-            the ITNE distance variables [dy]), falling back to the
-            dual-guided discrete rule *)
 
   val all : t list
 
   val to_string : t -> string
-  (** CLI / wire name: ["most-fractional"], ["violation"],
-      ["dual-guided"], ["dy-partition"]. *)
+  (** CLI / wire name: ["most-fractional"], ["dual-guided"]. *)
 
   val of_string : string -> t option
 

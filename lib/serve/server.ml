@@ -475,19 +475,6 @@ let handle_frame state (c : conn) line =
       send c (Wire.encode_response ~id Wire.Ack);
       Atomic.set state.shutdown true
 
-(* Pull the complete lines out of a connection's carry buffer. *)
-let take_lines (c : conn) =
-  let s = Buffer.contents c.carry in
-  let rec split acc from =
-    match String.index_from_opt s from '\n' with
-    | Some i -> split (String.sub s from (i - from) :: acc) (i + 1)
-    | None ->
-        Buffer.clear c.carry;
-        Buffer.add_substring c.carry s from (String.length s - from);
-        List.rev acc
-  in
-  split [] 0
-
 let listen_socket addr =
   match addr with
   | Unix_path path ->
@@ -536,7 +523,7 @@ let run cfg =
     | 0 -> `Eof
     | n ->
         Buffer.add_subbytes c.carry chunk 0 n;
-        `Lines (take_lines c)
+        `Lines (Wire.take_lines c.carry)
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) -> `Eof
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Lines []
   in

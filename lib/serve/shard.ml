@@ -488,18 +488,6 @@ let connect_backend ~timeout_s addr =
   in
   go ()
 
-let take_lines (buf : Buffer.t) =
-  let s = Buffer.contents buf in
-  let rec split acc from =
-    match String.index_from_opt s from '\n' with
-    | Some i -> split (String.sub s from (i - from) :: acc) (i + 1)
-    | None ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s from (String.length s - from);
-        List.rev acc
-  in
-  split [] 0
-
 let run (cfg : config) =
   if cfg.backends = [] then failwith "grc shard: need at least one backend";
   let stop_sig = Atomic.make false in
@@ -535,7 +523,7 @@ let run (cfg : config) =
     | 0 -> `Eof
     | n ->
         Buffer.add_subbytes buf chunk 0 n;
-        `Lines (take_lines buf)
+        `Lines (Wire.take_lines buf)
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) -> `Eof
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Lines []
   in

@@ -328,22 +328,24 @@ let rec write_all fd s off len =
 let write_frame fd line =
   write_all fd (line ^ "\n") 0 (String.length line + 1)
 
-let read_frame carry fd =
-  let take_line () =
-    let s = Buffer.contents carry in
-    match String.index_opt s '\n' with
-    | Some i ->
-        let line = String.sub s 0 i in
+let take_lines ?(max = max_int) carry =
+  let s = Buffer.contents carry in
+  let rec split acc k from =
+    match if k < max then String.index_from_opt s from '\n' else None with
+    | Some i -> split (String.sub s from (i - from) :: acc) (k + 1) (i + 1)
+    | None ->
         Buffer.clear carry;
-        Buffer.add_substring carry s (i + 1) (String.length s - i - 1);
-        Some line
-    | None -> None
+        Buffer.add_substring carry s from (String.length s - from);
+        List.rev acc
   in
+  split [] 0 0
+
+let read_frame carry fd =
   let chunk = Bytes.create 65536 in
   let rec go () =
-    match take_line () with
-    | Some line -> Some (Json.of_string line)
-    | None ->
+    match take_lines ~max:1 carry with
+    | line :: _ -> Some (Json.of_string line)
+    | [] ->
         let n = Unix.read fd chunk 0 (Bytes.length chunk) in
         if n = 0 then begin
           if Buffer.length carry > 0 then

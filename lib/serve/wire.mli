@@ -115,3 +115,11 @@ val read_frame : Buffer.t -> Unix.file_descr -> Json.t option
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Write [line ^ "\n"] fully. *)
+
+val take_lines : ?max:int -> Buffer.t -> string list
+(** [take_lines carry] removes the complete (newline-terminated) lines
+    from the front of the carry buffer — at most [max], default all —
+    and returns them in order without their newlines.  A partial
+    trailing line stays in [carry] for the next read.  Blank lines are
+    returned as they are; the daemons skip them, {!read_frame} rejects
+    them. *)

@@ -78,7 +78,7 @@ echo "== branch-strategy certify parity (sequential and --domains 4) =="
 # only the tree shape (node counts) may differ — sequentially and
 # under domain parallelism.
 ref_eps=""
-for strategy in most-fractional violation dual-guided dy-partition; do
+for strategy in most-fractional dual-guided; do
   seq_eps=$(dune exec -- grc certify \
     --net _build/lint-artifacts/lint-ci.net --delta 0.001 \
     --branch "$strategy" | grep '^output')
@@ -96,6 +96,17 @@ for strategy in most-fractional violation dual-guided dy-partition; do
     exit 1
   fi
 done
+# a removed rule name is a command-line usage error, not a silent default
+if dune exec -- grc certify --net _build/lint-artifacts/lint-ci.net \
+    --delta 0.001 --branch dy-partition >/dev/null 2>_build/branch-ci.err; then
+  echo "grc certify accepted the removed --branch dy-partition" >&2
+  exit 1
+fi
+if ! grep -q "invalid value 'dy-partition'" _build/branch-ci.err; then
+  echo "--branch dy-partition did not fail with a usage error:" >&2
+  cat _build/branch-ci.err >&2
+  exit 1
+fi
 
 echo "== certification with dedup disabled matches =="
 with_dedup=$(dune exec -- grc certify \
@@ -134,7 +145,7 @@ test -s BENCH_obs.json
 # (>= 30% fewer LP solves on dnn3/dnn4 at bitwise-identical certified
 # eps, plus exact-engine stability hints that pin splits without
 # moving the optimum).  The branch-strategy gates ride along: certified
-# eps bitwise identical across all four strategies on the certifier,
+# eps bitwise identical across both strategies on the certifier,
 # exact-BTNE and reluplex cases, and dual-guided exploring >= 20% fewer
 # B&B nodes than most-fractional on the exact-BTNE dnn3 tree.  It
 # exits nonzero if any gate fails.

@@ -35,7 +35,7 @@ let test_strategy_names () =
     Strategy.all;
   Alcotest.(check bool) "unknown name" true
     (Strategy.of_string "steepest-edge" = None);
-  Alcotest.(check int) "four strategies" 4 (List.length Strategy.all)
+  Alcotest.(check int) "two strategies" 2 (List.length Strategy.all)
 
 let test_columns_sensitivity () =
   let m = Model.create () in
@@ -472,7 +472,7 @@ let test_reluplex_budget_slices () =
     starved.Cert.Reluplex_style.eps
 
 (* Property: the certifier's answer is a function of the problem, not
-   of the branching strategy — all four strategies certify bitwise-equal
+   of the branching strategy — both strategies certify bitwise-equal
    epsilon on random nets, with refinement exercising the MILP path. *)
 let certifier_strategy_parity =
   let gen = QCheck.Gen.(tup2 (int_range 3 5) (float_range 0.02 0.08)) in

@@ -301,6 +301,51 @@ let test_read_frame_hostile () =
 
 (* --- bounded queue --- *)
 
+(* [Wire.take_lines] is the service's one line splitter (daemon,
+   router and [read_frame]): however the stream is cut into reads, the
+   same lines come out in order — blank ones as [""], which the daemons
+   skip — and a partial trailing line waits in the carry.  Taking one
+   line at a time ([~max:1], as [read_frame] does) agrees too. *)
+let take_lines_chunking_prop =
+  let gen =
+    QCheck.Gen.(
+      let line =
+        string_size ~gen:(oneofl [ 'a'; '{'; '"'; ' '; '1' ]) (int_range 0 6)
+      in
+      triple
+        (list_size (int_range 0 8) line)
+        line
+        (list_size (int_range 0 6) (int_range 0 64)))
+  in
+  Test_seed.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"take_lines: any chunking, same lines"
+       (QCheck.make gen) (fun (lines, tail, cuts) ->
+         let stream =
+           String.concat "" (List.map (fun l -> l ^ "\n") lines) ^ tail
+         in
+         let n = String.length stream in
+         let cuts = List.sort_uniq compare (List.map (min n) cuts) @ [ n ] in
+         let carry = Buffer.create 16 in
+         let got = ref [] and from = ref 0 in
+         List.iter
+           (fun c ->
+             Buffer.add_substring carry stream !from (c - !from);
+             got := !got @ Wire.take_lines carry;
+             from := c)
+           cuts;
+         let one = Buffer.create 16 in
+         Buffer.add_string one stream;
+         let rec drain acc =
+           match Wire.take_lines ~max:1 one with
+           | [] -> List.rev acc
+           | [ l ] -> drain (l :: acc)
+           | _ -> failwith "~max:1 took more than one line"
+         in
+         !got = lines
+         && Buffer.contents carry = tail
+         && drain [] = lines
+         && Buffer.contents one = tail))
+
 let test_squeue_order_and_bounds () =
   let q = Serve.Squeue.create ~cap:2 in
   Alcotest.(check bool) "push 1" true (Serve.Squeue.try_push q 1 = `Ok);
@@ -767,6 +812,78 @@ let test_e2e_batch () =
       Serve.Client.close c;
       finish ())
 
+(* --- branching rules that no longer exist ---
+
+   [most-fractional] and [dual-guided] are the only branching rules; a
+   frame naming a removed one ([violation], [dy-partition]) must get a
+   structured error, and the connection must stay usable.  The typed
+   encoder cannot spell those names, so the frames are patched. *)
+
+let with_branch name frame =
+  let rec patch = function
+    | Json.Obj fields when List.mem_assoc "delta" fields ->
+        Json.Obj
+          (("branch", Json.Str name) :: List.remove_assoc "branch" fields)
+    | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, patch v)) fields)
+    | Json.List items -> Json.List (List.map patch items)
+    | v -> v
+  in
+  Json.to_string (patch (Json.of_string frame))
+
+(* Over a raw connection to [addr] (daemon or router): certify and batch
+   frames naming a removed rule each get an error frame; blank lines are
+   skipped; then [valid] is answered.  Returns that answer. *)
+let check_removed_branches addr ~valid =
+  let path =
+    match addr with
+    | Serve.Server.Unix_path p -> p
+    | Serve.Server.Tcp _ -> Alcotest.fail "expected a unix socket"
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let carry = Buffer.create 256 in
+  let next () =
+    match Wire.read_frame carry fd with
+    | Some v -> Wire.decode_response v
+    | None -> Alcotest.fail "connection closed"
+  in
+  List.iter
+    (fun name ->
+      let expected =
+        Printf.sprintf "Serve.Wire: certify: unknown branch %S" name
+      in
+      List.iter
+        (fun (what, req) ->
+          Wire.write_frame fd (with_branch name (Wire.encode_request ~id:9 req));
+          match next () with
+          | _, Wire.Error msg when msg = expected -> ()
+          | _, Wire.Error msg -> Alcotest.failf "%s %s: error %S" what name msg
+          | _ -> Alcotest.failf "%s with branch %s accepted" what name)
+        [ ("certify", Wire.Certify valid); ("batch", Wire.Batch [ valid ]) ])
+    [ "violation"; "dy-partition" ];
+  Wire.write_frame fd "";
+  Wire.write_frame fd "  ";
+  Wire.write_frame fd (Wire.encode_request ~id:10 (Wire.Certify valid));
+  match next () with
+  | 10, Wire.Result r -> r
+  | _ -> Alcotest.fail "valid query after the errors not answered"
+
+let test_e2e_removed_branches () =
+  let net = test_net () in
+  let delta = 0.01 in
+  let oneshot =
+    (Cert.Certifier.certify_box net ~lo:0.0 ~hi:1.0 ~delta)
+      .Cert.Certifier.eps
+  in
+  with_server (fun addr finish ->
+      let c = Serve.Client.connect_retry addr in
+      let r = check_removed_branches addr ~valid:(certify_query ~net ~delta ()) in
+      check_bits "answered after errors" oneshot r.Wire.r_eps;
+      shutdown_via c;
+      Serve.Client.close c;
+      finish ())
+
 (* --- epoch re-certification cache behaviour (train-robust loop) ---
 
    The training loop re-certifies by content digest every epoch;
@@ -829,7 +946,8 @@ let suites =
         Alcotest.test_case "rejects" `Quick test_wire_rejects;
         json_fuzz_bytes_prop; wire_fuzz_mutations_prop;
         Alcotest.test_case "read_frame hostile streams" `Quick
-          test_read_frame_hostile ] );
+          test_read_frame_hostile;
+        take_lines_chunking_prop ] );
     ( "serve:parts",
       [ Alcotest.test_case "squeue order/bounds" `Quick
           test_squeue_order_and_bounds;
@@ -855,4 +973,6 @@ let suites =
         Alcotest.test_case "graceful shutdown" `Quick
           test_e2e_graceful_shutdown;
         Alcotest.test_case "train recert cache behaviour" `Quick
-          test_e2e_train_recert_cache ] ) ]
+          test_e2e_train_recert_cache;
+        Alcotest.test_case "removed branch names" `Quick
+          test_e2e_removed_branches ] ) ]

@@ -354,11 +354,30 @@ let test_e2e_two_shard_sweep () =
       shutdown_via c;
       Serve.Client.close c)
 
+(* the router decodes frames itself: a removed branching rule gets a
+   structured error there, and the client connection stays usable *)
+let test_removed_branches () =
+  with_router 2 (fun front ->
+      let c = Serve.Client.connect_retry front in
+      (* shut down even on failure: [with_router] joins the router *)
+      Fun.protect
+        ~finally:(fun () ->
+          shutdown_via c;
+          Serve.Client.close c)
+        (fun () ->
+          let r =
+            Test_serve.check_removed_branches front ~valid:(dq "net-a")
+          in
+          Alcotest.(check bool) "answered by a shard" true
+            (r.Wire.r_shard <> None)))
+
 let suites =
   [ ( "shard:routing",
       [ Alcotest.test_case "route_index" `Quick test_route_index;
         Alcotest.test_case "determinism + annotation" `Quick
-          test_routing_determinism ] );
+          test_routing_determinism;
+        Alcotest.test_case "removed branch names" `Quick
+          test_removed_branches ] );
     ( "shard:failover",
       [ Alcotest.test_case "death mid-batch retries" `Quick
           test_backend_death_retry;
